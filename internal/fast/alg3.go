@@ -69,15 +69,15 @@ type typeKey struct {
 // it exceeds b (a package-level helper, not a closure, so the hot path
 // allocates nothing).
 //sched:hotpath
-func roundCount(countGrid []float64, b, g int) int {
+func roundCount(countGrid knapsack.GeomGrid, b, g int) int {
 	if g <= b {
 		return g
 	}
-	i := knapsack.RoundDownIdx(countGrid, float64(g))
+	i := countGrid.DownIdx(float64(g))
 	if i < 0 {
 		return g
 	}
-	return int(countGrid[i])
+	return int(countGrid.At(i))
 }
 
 // Try implements one dual round of Algorithm 3.
@@ -106,11 +106,13 @@ func (a *Alg3) Try(d moldable.Time) (*schedule.Schedule, bool) {
 	shelf1 := append(sc.shelf1[:0], part.Mand...)
 
 	if len(part.Opt) > 0 && capacity > 0 {
-		countGrid := knapsack.GeomAppend(sc.countGrid[:0], float64(b), float64(in.M), 1+rho)
-		timeGridD := knapsack.GeomAppend(sc.timeGridD[:0], d/2, d, 1+4*rho)
-		timeGridD2 := knapsack.GeomAppend(sc.timeGridD2[:0], d/4, d/2, 1+4*rho)
-		profitGrid := knapsack.GeomAppend(sc.profitGrid[:0], delta*d/2, float64(b)*d/2, 1+delta/float64(b))
-		sc.countGrid, sc.timeGridD, sc.timeGridD2, sc.profitGrid = countGrid, timeGridD, timeGridD2, profitGrid
+		// The grids are implicit: each rounding is an O(1) closed-form
+		// lookup, so a probe never materializes the Θ(δ⁻²·log(1/δ))
+		// profit grid.
+		countGrid := knapsack.NewGeomGrid(float64(b), float64(in.M), 1+rho)
+		timeGridD := knapsack.NewGeomGrid(d/2, d, 1+4*rho)
+		timeGridD2 := knapsack.NewGeomGrid(d/4, d/2, 1+4*rho)
+		profitGrid := knapsack.NewGeomGrid(delta*d/2, float64(b)*d/2, 1+delta/float64(b))
 
 		// Group the optional jobs into item types. The per-type job
 		// lists are a flat counting sort (typeIdx → offsets →
@@ -134,9 +136,9 @@ func (a *Alg3) Try(d moldable.Time) (*schedule.Schedule, bool) {
 				v := part.Profit(in, j)
 				pIdx := -1
 				if v >= delta*d/2 {
-					if i := upIdx(profitGrid, v); i >= 0 {
+					if i := profitGrid.UpIdx(v); i >= 0 {
 						pIdx = i
-						profit = profitGrid[i]
+						profit = profitGrid.At(i)
 					}
 				}
 				key = typeKey{narrow: true, g1: rg1, pIdx: pIdx}
@@ -144,15 +146,9 @@ func (a *Alg3) Try(d moldable.Time) (*schedule.Schedule, bool) {
 				// wide in S2: profit = saved work in rounded quantities.
 				t1 := in.Jobs[j].Time(g1)
 				t2 := in.Jobs[j].Time(g2)
-				i1 := knapsack.RoundDownIdx(timeGridD, t1)
-				i2 := knapsack.RoundDownIdx(timeGridD2, t2)
-				if i1 < 0 {
-					i1 = 0
-				}
-				if i2 < 0 {
-					i2 = 0
-				}
-				profit = timeGridD2[i2]*float64(rg2) - timeGridD[i1]*float64(rg1)
+				i1 := max(timeGridD.DownIdx(t1), 0)
+				i2 := max(timeGridD2.DownIdx(t2), 0)
+				profit = timeGridD2.At(i2)*float64(rg2) - timeGridD.At(i1)*float64(rg1)
 				if profit < 0 {
 					profit = 0
 				}
@@ -231,24 +227,6 @@ func (a *Alg3) Try(d moldable.Time) (*schedule.Schedule, bool) {
 		return nil, false
 	}
 	return sc.buildRes.Schedule, true
-}
-
-// upIdx returns the index of the smallest grid element ≥ v, or -1.
-//sched:hotpath
-func upIdx(g []float64, v float64) int {
-	lo, hi := 0, len(g)-1
-	if len(g) == 0 || v > g[hi] {
-		return -1
-	}
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if g[mid] >= v {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }
 
 // ScheduleAlg3 runs the full (3/2+eps)-approximation around Alg3 (heap

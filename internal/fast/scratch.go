@@ -52,14 +52,15 @@ type Scratch struct {
 	items  []knapsack.Item
 	comp   []bool
 
-	// Alg3 item typing (§4.3.1): grids, the type table, and the flat
+	// Alg3 item typing (§4.3.1): the type table and the flat
 	// job-by-type buckets (a counting sort, so no per-type slices).
-	countGrid, timeGridD, timeGridD2, profitGrid []float64
-	typeOf                                       map[typeKey]int32
-	types                                        []knapsack.Type
-	typeIdx                                      []int32 // type of part.Opt[k]
-	typeOff                                      []int32 // running offset per type
-	jobsByType                                   []int32 // Opt jobs grouped by type
+	// The rounding grids are closed-form knapsack.GeomGrid values and
+	// need no buffers.
+	typeOf     map[typeKey]int32
+	types      []knapsack.Type
+	typeIdx    []int32 // type of part.Opt[k]
+	typeOff    []int32 // running offset per type
+	jobsByType []int32 // Opt jobs grouped by type
 }
 
 // dualFor picks the regime-appropriate dual algorithm out of the

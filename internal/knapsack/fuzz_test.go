@@ -46,3 +46,45 @@ func FuzzGeomRounding(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGeomGrid: the closed-form grid must equal the materialized one —
+// length, sampled elements, and UpIdx/DownIdx against binary search —
+// on any valid grid of at most 10⁶ elements.
+func FuzzGeomGrid(f *testing.F) {
+	f.Add(1.0, 100.0, 1.5, 37.0)
+	f.Add(0.5, 0.5, 1.01, 0.5)
+	f.Add(0.0005, 0.1, 1.00005, 0.0123)
+	f.Add(1837.193222937972, 1837.1932229382367, 1+0x1p-52, 1837.19322293801)
+	f.Fuzz(func(t *testing.T, L, U, x, v float64) {
+		if !(L > 0) || !(U >= L) || !(x > 1) || math.IsInf(U, 0) || math.IsNaN(v) {
+			t.Skip()
+		}
+		if n := math.Log(U/L) / math.Log(x); !(n <= 1e6) {
+			t.Skip()
+		}
+		want := Geom(L, U, x)
+		g := NewGeomGrid(L, U, x)
+		if g.Len() != len(want) {
+			t.Fatalf("geom(%v, %v, %v): Len %d, GeomAppend built %d", L, U, x, g.Len(), len(want))
+		}
+		i := RoundDownIdx(want, v)
+		for _, k := range []int{0, i, i + 1, len(want) - 1} {
+			if k >= 0 && k < len(want) && g.At(k) != want[k] {
+				t.Fatalf("geom(%v, %v, %v): At(%d) = %v, GeomAppend %v", L, U, x, k, g.At(k), want[k])
+			}
+		}
+		if got := g.DownIdx(v); got != i {
+			t.Fatalf("geom(%v, %v, %v): DownIdx(%v) = %d, binary search %d", L, U, x, v, got, i)
+		}
+		up := i
+		if up < 0 || want[up] < v {
+			up++
+		}
+		if up == len(want) {
+			up = -1
+		}
+		if got := g.UpIdx(v); got != up {
+			t.Fatalf("geom(%v, %v, %v): UpIdx(%v) = %d, binary search %d", L, U, x, v, got, up)
+		}
+	})
+}

@@ -52,7 +52,7 @@ func (s *Scheduler) OpenOnline(cfg online.Config) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	id := s.nextID.Add(1)
+	id := s.issue()
 	sess := &onlineSession{m: cfg.M, rt: rt}
 	sess.touch()
 	s.onlines.Store(id, sess)

@@ -53,7 +53,7 @@ type Config struct {
 	ResultCacheCap int  // max cached results; ≤ 0 selects 1024
 	MemoCap        int  // max memoized instances retained; ≤ 0 selects 256
 	MemoBudgetMB   int  // max estimated MB of retained memo tables; ≤ 0 selects 256
-	TicketCap      int  // max completed-but-uncollected tickets retained; ≤ 0 selects 4096
+	TicketCap      int  // retention window: a completed, uncollected ticket is dropped once TicketCap newer ones exist; ≤ 0 selects 4096
 	NoMemoize      bool // disable oracle memoization (benchmark baseline)
 	NoResultCache  bool // disable the result cache
 }
@@ -123,10 +123,13 @@ type Scheduler struct {
 	// exactly one worker goroutine; slots are lazily initialized by
 	// their owning worker.
 	scratch []*core.Scratch
-	tasks   sync.Map    // ticket → *task
-	onlines sync.Map    // ticket → *onlineSession (see online.go)
-	retired chan uint64 // FIFO of completed tickets, bounding uncollected retention
-	nextID  atomic.Uint64
+	tasks   sync.Map // ticket → *task
+	onlines sync.Map // ticket → *onlineSession (see online.go)
+	// nextID is the newest ticket issued. Ticket ids are monotone, so
+	// retention is a bound on id distance: a completed, uncollected
+	// ticket is dropped once it is TicketCap or more below nextID
+	// (see issue and finish).
+	nextID atomic.Uint64
 
 	submitted, completed, failures, resultHits atomic.Int64
 	looseHits, looseMisses                     atomic.Int64 // memo stats of uncacheable instances
@@ -136,6 +139,11 @@ type Scheduler struct {
 type task struct {
 	res  Result
 	done chan struct{}
+	// finished is set after done is closed. issue and finish each read
+	// the other's atomic (this flag, nextID) after writing their own, so
+	// at least one of them sees that a ticket is both complete and out
+	// of the retention window.
+	finished atomic.Bool
 }
 
 // New starts a scheduler.
@@ -149,7 +157,6 @@ func New(cfg Config) *Scheduler {
 		results: newResultCache(cfg.CacheShards, cfg.ResultCacheCap),
 		memos:   newMemoRegistry(cfg.MemoCap, int64(cfg.MemoBudgetMB)<<20),
 		scratch: make([]*core.Scratch, pool.Size()),
-		retired: make(chan uint64, cfg.TicketCap),
 	}
 }
 
@@ -161,11 +168,14 @@ func (s *Scheduler) Close() { s.pool.Close() }
 // instance must not be mutated afterwards. Result-cache hits complete
 // the ticket immediately without touching the pool.
 //
-// Completed results are retained until collected, up to TicketCap
-// uncollected tickets; beyond that the oldest uncollected results are
-// dropped (their tickets then report unknown). Fire-and-forget callers
-// therefore don't leak; callers that collect always see their result
-// if they stay within TicketCap of the completion front.
+// Completed results are retained until collected or until TicketCap
+// newer tickets have been issued, whichever comes first: retention
+// follows submission order, so a completed, uncollected ticket id is
+// dropped (and reports unknown) once the newest ticket id reaches
+// id+TicketCap. Pending tickets are never dropped early; one that
+// completes outside the window is dropped at completion. Fire-and-
+// forget callers therefore don't leak, and callers that collect always
+// see their result if they collect before TicketCap more submissions.
 func (s *Scheduler) Submit(in *moldable.Instance, opt core.Options) uint64 {
 	return s.SubmitCtx(context.Background(), in, opt)
 }
@@ -178,7 +188,7 @@ func (s *Scheduler) Submit(in *moldable.Instance, opt core.Options) uint64 {
 // Wait/Poll callers always see a result. Canceled results are never
 // cached. A result-cache hit still answers a live context immediately.
 func (s *Scheduler) SubmitCtx(ctx context.Context, in *moldable.Instance, opt core.Options) uint64 {
-	id := s.nextID.Add(1)
+	id := s.issue()
 	t := &task{done: make(chan struct{})}
 	s.tasks.Store(id, t)
 	s.submitted.Add(1)
@@ -276,6 +286,20 @@ func (s *Scheduler) run(ctx context.Context, id uint64, t *task, in *moldable.In
 	s.finish(id, t, r)
 }
 
+// issue returns a fresh ticket id and retires the completed ticket that
+// the new id pushes out of the TicketCap retention window. A ticket
+// still pending there retires itself in finish.
+func (s *Scheduler) issue() uint64 {
+	id := s.nextID.Add(1)
+	if window := uint64(s.cfg.TicketCap); id > window {
+		old := id - window
+		if v, ok := s.tasks.Load(old); ok && v.(*task).finished.Load() {
+			s.tasks.Delete(old)
+		}
+	}
+	return id
+}
+
 func (s *Scheduler) finish(id uint64, t *task, r Result) {
 	if r.Err != nil {
 		s.failures.Add(1)
@@ -289,21 +313,13 @@ func (s *Scheduler) finish(id uint64, t *task, r Result) {
 		obs.ServiceCompleted.Inc()
 	}
 	close(t.done)
-	// Bound completed-but-uncollected retention: push this ticket onto
-	// the retirement FIFO, evicting the oldest when full. Evicting a
-	// ticket that was already collected (Wait/Poll deleted it) is a
-	// harmless no-op.
-	for {
-		select {
-		case s.retired <- id:
-			return
-		default:
-			select {
-			case old := <-s.retired:
-				s.tasks.Delete(old)
-			default:
-			}
-		}
+	t.finished.Store(true)
+	// A ticket that left the retention window while it ran is dropped
+	// now (issue skipped it as pending). Deleting a ticket that a
+	// Wait/Poll already collected is a harmless no-op, and a blocked
+	// Wait has loaded the task already, so it still sees the result.
+	if s.nextID.Load()-id >= uint64(s.cfg.TicketCap) {
+		s.tasks.Delete(id)
 	}
 }
 
@@ -325,12 +341,19 @@ func (s *Scheduler) Wait(id uint64) (Result, bool) {
 // the completed result (releasing the ticket) or, when ctx ends first,
 // a Result whose Err matches scherr.ErrCanceled — in that case the
 // ticket is NOT released, so the submission keeps running and a later
-// Wait/Poll can still collect it. Note the submission's own context is
-// the one given to SubmitCtx; WaitCtx only bounds this wait.
+// Wait/Poll can still collect it. A context that has already ended
+// when WaitCtx is called always yields ErrCanceled, even if the ticket
+// has completed. Note the submission's own context is the one given to
+// SubmitCtx; WaitCtx only bounds this wait.
 func (s *Scheduler) WaitCtx(ctx context.Context, id uint64) (Result, bool) {
 	v, ok := s.tasks.Load(id)
 	if !ok {
 		return Result{}, false
+	}
+	// Decide a dead context up front: the select below picks at random
+	// when the ticket has also completed.
+	if err := ctx.Err(); err != nil {
+		return Result{Err: scherr.Canceled(err)}, true
 	}
 	t := v.(*task)
 	select {
@@ -386,10 +409,20 @@ func (s *Scheduler) Do(in *moldable.Instance, opt core.Options) Result {
 // returns an ErrCanceled result immediately instead of waiting for the
 // worker to reach (and then abandon) the task.
 func (s *Scheduler) DoCtx(ctx context.Context, in *moldable.Instance, opt core.Options) Result {
-	r, ok := s.WaitCtx(ctx, s.SubmitCtx(ctx, in, opt))
-	if !ok {
-		// The ticket aged out of the retention FIFO before we loaded it
-		// (tiny TicketCap under concurrent submissions): the result is
+	return s.collect(ctx, s.SubmitCtx(ctx, in, opt))
+}
+
+// collect is WaitCtx for the Do* helpers, which own their tickets: a
+// ticket that has already completed yields its result even when ctx
+// has ended.
+func (s *Scheduler) collect(ctx context.Context, id uint64) Result {
+	r, done, known := s.Poll(id)
+	if known && !done {
+		r, known = s.WaitCtx(ctx, id)
+	}
+	if !known {
+		// The ticket aged out of the retention window before we loaded
+		// it (tiny TicketCap under concurrent submissions): the result is
 		// gone. Report it as lost rather than returning a zero Result
 		// that looks like success.
 		r = Result{Err: scherr.Canceled(nil)}
@@ -416,10 +449,7 @@ func (s *Scheduler) DoBatchCtx(ctx context.Context, ins []*moldable.Instance, op
 	}
 	out := make([]Result, len(ins))
 	for i, id := range ids {
-		var ok bool
-		if out[i], ok = s.WaitCtx(ctx, id); !ok {
-			out[i] = Result{Err: scherr.Canceled(nil)} // evicted ticket; see DoCtx
-		}
+		out[i] = s.collect(ctx, id)
 	}
 	return out
 }
