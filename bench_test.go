@@ -116,7 +116,7 @@ func BenchmarkTheorem2_FPTAS(b *testing.B) {
 			in := moldable.Random(moldable.GenConfig{N: 64, M: m, Seed: 7})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := fptas.Schedule(in, 0.2); err != nil {
+				if _, _, err := fptas.Schedule(context.Background(), in, 0.2, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -128,16 +128,23 @@ func BenchmarkTheorem2_FPTAS(b *testing.B) {
 // custom metric (must stay ≤ 1.5+ε = 1.75) ---
 
 func BenchmarkTheorem3_FullRun(b *testing.B) {
-	type scheduleFn = func(*moldable.Instance, float64) (*schedule.Schedule, dual.Report, error)
+	type scheduleFn = func(context.Context, *moldable.Instance, float64) (*schedule.Schedule, dual.Report, error)
+	fresh := func(run func(context.Context, *moldable.Instance, float64, *fast.Scratch) (*schedule.Schedule, dual.Report, error)) scheduleFn {
+		return func(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
+			return run(ctx, in, eps, nil)
+		}
+	}
 	runners := []struct {
 		name string
 		run  scheduleFn
 	}{
-		{"mrt", mrt.Schedule},
-		{"alg1", fast.ScheduleAlg1},
-		{"alg3", fast.ScheduleAlg3},
-		{"linear", fast.ScheduleLinear},
-		{"conv", fast.ScheduleConv},
+		{"mrt", func(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
+			return mrt.Schedule(ctx, in, eps, nil)
+		}},
+		{"alg1", fresh(fast.ScheduleAlg1)},
+		{"alg3", fresh(fast.ScheduleAlg3)},
+		{"linear", fresh(fast.ScheduleLinear)},
+		{"conv", fresh(fast.ScheduleConv)},
 	}
 	for _, r := range runners {
 		b.Run(r.name, func(b *testing.B) {
@@ -145,7 +152,7 @@ func BenchmarkTheorem3_FullRun(b *testing.B) {
 			worst := 0.0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s, _, err := r.run(pl.Instance, 0.25)
+				s, _, err := r.run(context.Background(), pl.Instance, 0.25)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -178,15 +185,15 @@ func BenchmarkTheorem3_ScratchSteadyState(b *testing.B) {
 	for _, a := range algos {
 		b.Run(a.name, func(b *testing.B) {
 			pl := moldable.Planted(moldable.PlantedConfig{M: 64, D: 100, Seed: 5, MaxJobs: 40})
-			sc := core.NewScratch()
+			sc := &core.Scratch{}
 			ctx := context.Background()
 			opt := core.Options{Algorithm: a.algo, Eps: 0.25}
-			if _, _, err := core.ScheduleScratchCtx(ctx, pl.Instance, opt, sc); err != nil {
+			if _, _, err := core.Schedule(ctx, pl.Instance, opt, sc); err != nil {
 				b.Fatal(err) // warm-up
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.ScheduleScratchCtx(ctx, pl.Instance, opt, sc); err != nil {
+				if _, _, err := core.Schedule(ctx, pl.Instance, opt, sc); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -205,14 +212,14 @@ func BenchmarkTheorem3_Hot(b *testing.B) {
 			opt := core.Options{Algorithm: core.Linear, Eps: 0.25}
 			var sc *core.Scratch
 			if mode == "scratch" {
-				sc = core.NewScratch()
-				if _, _, err := core.ScheduleScratchCtx(ctx, in, opt, sc); err != nil {
+				sc = &core.Scratch{}
+				if _, _, err := core.Schedule(ctx, in, opt, sc); err != nil {
 					b.Fatal(err) // warm-up
 				}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.ScheduleScratchCtx(ctx, in, opt, sc); err != nil {
+				if _, _, err := core.Schedule(ctx, in, opt, sc); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -262,13 +269,13 @@ func BenchmarkCrossover_ConvVsLinear(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/m=2^%d", a.name, log2(m)), func(b *testing.B) {
 				ctx := context.Background()
 				opt := core.Options{Algorithm: a.algo, Eps: 0.25}
-				sc := core.NewScratch()
-				if _, _, err := core.ScheduleScratchCtx(ctx, in, opt, sc); err != nil {
+				sc := &core.Scratch{}
+				if _, _, err := core.Schedule(ctx, in, opt, sc); err != nil {
 					b.Fatal(err) // warm-up
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := core.ScheduleScratchCtx(ctx, in, opt, sc); err != nil {
+					if _, _, err := core.Schedule(ctx, in, opt, sc); err != nil {
 						b.Fatal(err)
 					}
 				}

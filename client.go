@@ -336,9 +336,9 @@ func (c *Client) remoteOne(ctx context.Context, in *moldable.Instance, opt core.
 
 // ScheduleStream schedules every instance on the client's pool and
 // yields (index, Result) pairs in completion order — the first results
-// arrive while later instances are still computing, unlike the
-// barriered ScheduleMany. The stream ends after len(ins) pairs, or
-// earlier if the consumer breaks.
+// arrive while later instances are still computing; the batch is never
+// barriered. The stream ends after len(ins) pairs, or earlier if the
+// consumer breaks.
 //
 // Cancellation: when ctx ends, no further instance starts computing;
 // instances already running stop at their next dual probe; and every

@@ -254,3 +254,53 @@ func TestClientCacheAcrossCalls(t *testing.T) {
 		t.Errorf("no result-cache hit after identical submissions: %+v", st)
 	}
 }
+
+// TestClientEstimateAndLT2: on a planted-optimum instance the estimate
+// bounds OPT from below and the LT2 schedule stays within 2ω.
+func TestClientEstimateAndLT2(t *testing.T) {
+	c := repro.New(repro.WithAlgorithm(repro.LT2))
+	defer c.Close()
+	ctx := context.Background()
+	pl := moldable.Planted(moldable.PlantedConfig{M: 32, D: 50, Seed: 3, MaxJobs: 12})
+	est, err := c.Estimate(ctx, pl.Instance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Omega > pl.OPT*(1+1e-9) {
+		t.Errorf("ω=%v exceeds OPT=%v", est.Omega, pl.OPT)
+	}
+	s, rep, err := c.Schedule(ctx, pl.Instance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ValidateSchedule(ctx, pl.Instance, s); err != nil {
+		t.Fatal(err)
+	}
+	if s.Makespan() > 2*rep.Omega*(1+1e-9) {
+		t.Errorf("2-approx makespan %v > 2ω = %v", s.Makespan(), 2*rep.Omega)
+	}
+}
+
+// TestFacadeAlgorithmConstants: every re-exported algorithm constant
+// schedules a trivial instance through the Client.
+func TestFacadeAlgorithmConstants(t *testing.T) {
+	c := repro.New(repro.WithEps(0.5))
+	defer c.Close()
+	in := &moldable.Instance{M: 8, Jobs: []moldable.Job{moldable.Sequential{T: 1}}}
+	for _, a := range []repro.Algorithm{repro.LT2, repro.MRT, repro.Alg1, repro.Alg3, repro.Linear} {
+		if _, _, err := c.Schedule(context.Background(), in, repro.WithAlgorithm(a)); err != nil {
+			t.Errorf("%v: %v", a, err)
+		}
+	}
+}
+
+func TestFacadePTAS(t *testing.T) {
+	pl := moldable.Planted(moldable.PlantedConfig{M: 1 << 12, D: 30, Seed: 4, MaxJobs: 8})
+	s, _, err := repro.PTAS(context.Background(), pl.Instance, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Makespan() > 1.5*pl.OPT*(1+1e-9) {
+		t.Errorf("PTAS ratio %.3f", s.Makespan()/pl.OPT)
+	}
+}

@@ -81,7 +81,7 @@ func main() {
 		}
 		log.Fatalf("invalid instance: %v", err)
 	}
-	s, rep, err := core.ScheduleCtx(ctx, in, core.Options{Algorithm: algo, Eps: *eps, Validate: true})
+	s, rep, err := core.Schedule(ctx, in, core.Options{Algorithm: algo, Eps: *eps, Validate: true}, nil)
 	if err != nil {
 		if errors.Is(err, scherr.ErrCanceled) {
 			log.Fatal("interrupted")
@@ -137,7 +137,7 @@ func main() {
 }
 
 // printTraces renders the sampled decision traces of this process —
-// every ScheduleCtx above records into the obs ring — oldest first.
+// every core.Schedule call above records into the obs ring — oldest first.
 func printTraces() {
 	evs := obs.SnapshotTraces(32)
 	fmt.Printf("\ndecision traces (%d sampled, oldest first):\n", len(evs))

@@ -4,7 +4,7 @@ package analysis
 // the function runs on the scheduling hot path, which is what justifies
 // the hotalloc analyzer's strictness there. This test keeps the claims
 // honest — every marked function must be reachable from the hot
-// entry points (core.ScheduleScratchCtx and the online runtime's
+// entry points (core.Schedule and the online runtime's
 // New/Arrive/Drain) in an over-approximated call graph. A directive on
 // genuinely cold code would silently impose hot-path rules where they
 // don't belong; this test turns it into a failure with the orphaned
@@ -157,7 +157,7 @@ func (g *callGraph) reachable(roots []string) map[string]bool {
 // so the test does not hardcode FullName formatting.
 func hotRoots(t *testing.T, pkgs []*Package) []string {
 	want := map[string][]string{
-		"repro/internal/core":   {"ScheduleScratchCtx"},
+		"repro/internal/core":   {"Schedule"},
 		"repro/internal/online": {"New", "Arrive", "Drain"},
 	}
 	var roots []string

@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
+	"math"
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/fast"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
+	"repro/internal/scherr"
 )
 
 // TestConvSoundnessSweep is the ISSUE-5 cross-algorithm sweep: random
@@ -22,7 +26,7 @@ import (
 func TestConvSoundnessSweep(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(55, 0))
-	sc := NewScratch() // shared: the sweep doubles as a reuse test
+	sc := &Scratch{} // shared: the sweep doubles as a reuse test
 	for it := 0; it < 60; it++ {
 		n := 1 + rng.IntN(64)
 		m := 40 + rng.IntN(1<<12) // ≥ ConvMinM, spans both regimes
@@ -31,7 +35,7 @@ func TestConvSoundnessSweep(t *testing.T) {
 		if err := in.ValidateCtx(ctx, 64); err != nil {
 			t.Fatalf("it %d: generator produced invalid instance: %v", it, err)
 		}
-		s, rep, err := ScheduleScratchCtx(ctx, in, Options{Algorithm: Conv, Eps: eps}, sc)
+		s, rep, err := Schedule(ctx, in, Options{Algorithm: Conv, Eps: eps}, sc)
 		if err != nil {
 			t.Fatalf("it %d (n=%d m=%d ε=%g): %v", it, n, m, eps, err)
 		}
@@ -45,7 +49,7 @@ func TestConvSoundnessSweep(t *testing.T) {
 			t.Fatalf("it %d (n=%d m=%d ε=%g): makespan %v > 2.1(3/2+ε)·LowerBound = %v",
 				it, n, m, eps, rep.Makespan, bound)
 		}
-		lin, _, err := ScheduleCtx(ctx, in, Options{Algorithm: Linear, Eps: eps})
+		lin, _, err := Schedule(ctx, in, Options{Algorithm: Linear, Eps: eps}, nil)
 		if err != nil {
 			t.Fatalf("it %d: linear failed: %v", it, err)
 		}
@@ -60,28 +64,43 @@ func TestConvSoundnessSweep(t *testing.T) {
 
 // FuzzConvSoundness: arbitrary shapes and accuracies through the Conv
 // path; whatever comes back must be a valid schedule within the
-// provable LowerBound factor, and sub-regime machines must error, not
-// crash.
+// provable LowerBound factor. The only accepted errors are the typed
+// ones of the contract: ErrRegime for sub-regime machine counts and
+// ErrBadEps for an ε outside (0,1] (0 selects the default); any other
+// error fails.
 func FuzzConvSoundness(f *testing.F) {
 	f.Add(uint64(1), 8, 64, 0.25)
 	f.Add(uint64(2), 40, 40, 0.1)
 	f.Add(uint64(3), 3, 4096, 1.0)
 	f.Add(uint64(4), 5, 39, 0.5) // below ConvMinM: must be a typed error
+	f.Add(uint64(5), 8, 64, math.NaN())
 	f.Fuzz(func(t *testing.T, seed uint64, n, m int, eps float64) {
-		if n < 1 || n > 48 || m < 1 || m > 1<<13 || eps <= 0 || eps > 1 {
+		if n < 1 || n > 48 || m < 1 || m > 1<<13 {
 			t.Skip()
 		}
 		in := moldable.Random(moldable.GenConfig{N: n, M: m, Seed: seed})
-		s, rep, err := Schedule(in, Options{Algorithm: Conv, Eps: eps})
-		if err != nil {
-			return // regime errors (m < 40) are the contract, not a bug
+		s, rep, err := Schedule(context.Background(), in, Options{Algorithm: Conv, Eps: eps}, nil)
+		badEps := eps != 0 && !(eps > 0 && eps <= 1)
+		switch {
+		case badEps:
+			if !errors.Is(err, scherr.ErrBadEps) {
+				t.Fatalf("n=%d m=%d ε=%g: got %v, want ErrBadEps", n, m, eps, err)
+			}
+			return
+		case m < fast.ConvMinM:
+			if !errors.Is(err, scherr.ErrRegime) {
+				t.Fatalf("n=%d m=%d ε=%g: got %v, want ErrRegime", n, m, eps, err)
+			}
+			return
+		case err != nil:
+			t.Fatalf("n=%d m=%d ε=%g: %v", n, m, eps, err)
 		}
 		if verr := schedule.Validate(in, s, schedule.Options{}); verr != nil {
 			t.Fatalf("n=%d m=%d ε=%g: invalid schedule: %v", n, m, eps, verr)
 		}
-		if bound := 2.1 * (1.5 + eps) * float64(rep.LowerBound); float64(rep.Makespan) > bound*(1+1e-9) {
+		if bound := 2.1 * (1.5 + rep.Eps) * float64(rep.LowerBound); float64(rep.Makespan) > bound*(1+1e-9) {
 			t.Fatalf("n=%d m=%d ε=%g: makespan %v > 2.1(3/2+ε)·LowerBound = %v",
-				n, m, eps, rep.Makespan, bound)
+				n, m, rep.Eps, rep.Makespan, bound)
 		}
 	})
 }

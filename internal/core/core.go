@@ -107,8 +107,7 @@ type Options struct {
 	// LT2 ignores it.
 	Eps float64
 	// Validate re-checks the schedule against the instance before
-	// returning (on by default in ValidateOrDie-style helpers; here an
-	// explicit opt-in to keep the hot path clean).
+	// returning. It is an explicit opt-in to keep the hot path clean.
 	Validate bool
 }
 
@@ -125,17 +124,11 @@ type Report struct {
 	Elapsed    time.Duration
 }
 
-// Schedule solves the instance with the selected algorithm; it is
-// ScheduleCtx with a background context.
-func Schedule(in *moldable.Instance, opt Options) (*schedule.Schedule, *Report, error) {
-	return ScheduleCtx(context.Background(), in, opt)
-}
-
 // Scratch aggregates the reusable buffers of every algorithm a
 // Schedule call can route to (the scratch-reuse discipline of
 // internal/arena): the fast (3/2+ε) schedulers, the FPTAS, and MRT. A
-// warm Scratch makes ScheduleScratchCtx allocation-free in the steady
-// state for the FPTAS/Linear regimes — the property guarded by
+// warm Scratch makes Schedule allocation-free in the steady state for
+// the FPTAS/Linear regimes — the property guarded by
 // TestScheduleScratchZeroAlloc and tracked in BENCH_PR3.json. The zero
 // value is ready; a Scratch must not be shared between concurrent
 // calls (internal/service keys one per pool worker).
@@ -205,45 +198,36 @@ func (sc *Scratch) obsRecord(ctx context.Context, in *moldable.Instance, rep *Re
 	})
 }
 
-// NewScratch returns an empty Scratch (provided for symmetry; the zero
-// value works too).
-func NewScratch() *Scratch { return &Scratch{} }
-
-// ScheduleCtx solves the instance with the selected algorithm under a
+// Schedule solves the instance with the selected algorithm under a
 // context: cancellation is observed between dual-search probes (the
 // expensive unit of work for every algorithm except LT2), and a
 // canceled run returns an error matching scherr.ErrCanceled (which
 // also unwraps to the context cause). Errors are typed: scherr.ErrBadEps
 // for an accuracy parameter outside (0,1], scherr.ErrRegime when the
 // FPTAS is forced outside m ≥ 16n/ε.
-func ScheduleCtx(ctx context.Context, in *moldable.Instance, opt Options) (*schedule.Schedule, *Report, error) {
-	s, rep, err := ScheduleScratchCtx(ctx, in, opt, nil)
-	// The report is returned unconditionally: on error it reflects how
-	// far the call got (the zero value for precondition failures, the
-	// full report for a post-hoc validation failure). No caller may
-	// infer success from a non-nil report — check err.
-	return s, &rep, err
-}
-
-// ScheduleScratchCtx is ScheduleCtx drawing every buffer from sc and
-// returning the Report by value: with a warm Scratch the FPTAS and
-// Linear paths run allocation-free in the steady state. The returned
-// schedule is then owned by the scratch — valid until the scratch's
-// next use; Clone to keep it (internal/service does exactly that
-// before caching). A nil scratch uses fresh buffers, making the result
+//
+// Every buffer comes from sc: with a warm Scratch the FPTAS and Linear
+// paths run allocation-free in the steady state. The returned schedule
+// is then owned by the scratch — valid until the scratch's next use;
+// Clone to keep it (internal/service does exactly that before
+// caching). A nil scratch uses fresh buffers, making the result
 // caller-owned.
+//
+// The report is returned on error too: it is the zero value for
+// precondition failures and the full report for a post-hoc validation
+// failure. No caller may infer success from it — check err.
 //sched:hotpath
 //sched:owns-result
-func ScheduleScratchCtx(ctx context.Context, in *moldable.Instance, opt Options, sc *Scratch) (*schedule.Schedule, Report, error) {
+func Schedule(ctx context.Context, in *moldable.Instance, opt Options, sc *Scratch) (*schedule.Schedule, Report, error) {
 	if opt.Eps == 0 {
 		opt.Eps = 0.1
 	}
-	if opt.Eps < 0 || opt.Eps > 1 {
+	if err := scherr.CheckEps("core", opt.Eps); err != nil {
 		if obs.On() {
 			obs.SchedCalls.Inc()
 			obs.SchedErrors.Inc()
 		}
-		return nil, Report{}, scherr.BadEps("core", opt.Eps)
+		return nil, Report{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		if obs.On() {
@@ -276,22 +260,22 @@ func ScheduleScratchCtx(ctx context.Context, in *moldable.Instance, opt Options,
 		dr.Omega = est.Omega
 		rep.Guarantee = 2
 	case MRT:
-		s, dr, err = mrt.ScheduleScratchCtx(ctx, in, opt.Eps, &sc.MRT)
+		s, dr, err = mrt.Schedule(ctx, in, opt.Eps, &sc.MRT)
 		rep.Guarantee = 1.5 + opt.Eps
 	case Alg1:
-		s, dr, err = fast.ScheduleAlg1ScratchCtx(ctx, in, opt.Eps, &sc.Fast)
+		s, dr, err = fast.ScheduleAlg1(ctx, in, opt.Eps, &sc.Fast)
 		rep.Guarantee = 1.5 + opt.Eps
 	case Alg3:
-		s, dr, err = fast.ScheduleAlg3ScratchCtx(ctx, in, opt.Eps, &sc.Fast)
+		s, dr, err = fast.ScheduleAlg3(ctx, in, opt.Eps, &sc.Fast)
 		rep.Guarantee = 1.5 + opt.Eps
 	case Linear:
-		s, dr, err = fast.ScheduleLinearScratchCtx(ctx, in, opt.Eps, &sc.Fast)
+		s, dr, err = fast.ScheduleLinear(ctx, in, opt.Eps, &sc.Fast)
 		rep.Guarantee = 1.5 + opt.Eps
 	case Conv:
-		s, dr, err = fast.ScheduleConvScratchCtx(ctx, in, opt.Eps, &sc.Fast)
+		s, dr, err = fast.ScheduleConv(ctx, in, opt.Eps, &sc.Fast)
 		rep.Guarantee = 1.5 + opt.Eps
 	case FPTAS:
-		s, dr, err = fptas.ScheduleScratchCtx(ctx, in, opt.Eps, &sc.FP)
+		s, dr, err = fptas.Schedule(ctx, in, opt.Eps, &sc.FP)
 		rep.Guarantee = 1 + opt.Eps
 	default:
 		if obs.On() {
@@ -337,9 +321,13 @@ var ErrPTASRegime = fmt.Errorf("core: m too small for the paper's FPTAS (%w); "+
 
 // PTAS is the §3.2 router: the Theorem-2 FPTAS when m ≥ 16n/ε, the exact
 // solver for tiny instances, and ErrPTASRegime otherwise.
-func PTAS(in *moldable.Instance, eps float64) (*schedule.Schedule, *Report, error) {
+func PTAS(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, *Report, error) {
+	if err := scherr.CheckEps("core", eps); err != nil {
+		return nil, nil, err
+	}
 	if fptas.Applicable(in.N(), in.M, eps/2) {
-		return Schedule(in, Options{Algorithm: FPTAS, Eps: eps})
+		s, rep, err := Schedule(ctx, in, Options{Algorithm: FPTAS, Eps: eps}, nil)
+		return s, &rep, err
 	}
 	if opt, s, err := exact.Solve(in, exact.Limits{}); err == nil {
 		rep := &Report{Algorithm: FPTAS, Eps: eps, Guarantee: 1,

@@ -30,9 +30,9 @@ func TestObsAlgoLabelsMatch(t *testing.T) {
 // with the trace_id, the resolved algorithm, and the probe count.
 func TestObsDecisionTrace(t *testing.T) {
 	in := moldable.Random(moldable.GenConfig{N: 16, M: 512, Seed: 3})
-	sc := NewScratch()
+	sc := &Scratch{}
 	ctx := obs.WithTraceID(context.Background(), "t-obs-test")
-	_, rep, err := ScheduleScratchCtx(ctx, in, Options{Algorithm: Linear, Eps: 0.25}, sc)
+	_, rep, err := Schedule(ctx, in, Options{Algorithm: Linear, Eps: 0.25}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestObsDecisionTrace(t *testing.T) {
 
 	// An erroring decision records its stable code.
 	before := sc.ObsRing().Recorded()
-	_, _, err = ScheduleScratchCtx(ctx, in, Options{Algorithm: FPTAS, Eps: 0.001}, sc)
+	_, _, err = Schedule(ctx, in, Options{Algorithm: FPTAS, Eps: 0.001}, sc)
 	if err == nil {
 		t.Fatal("expected regime error for FPTAS at tiny eps")
 	}

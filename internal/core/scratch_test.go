@@ -39,9 +39,9 @@ func TestScheduleScratchZeroAlloc(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := NewScratch()
+			sc := &Scratch{}
 			run := func() {
-				s, _, err := ScheduleScratchCtx(ctx, in, tc.opt, sc)
+				s, _, err := Schedule(ctx, in, tc.opt, sc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -53,7 +53,7 @@ func TestScheduleScratchZeroAlloc(t *testing.T) {
 				run()
 			}
 			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-				t.Fatalf("steady-state ScheduleScratchCtx allocates %v/op, want 0", allocs)
+				t.Fatalf("steady-state Schedule allocates %v/op, want 0", allocs)
 			}
 		})
 	}
@@ -81,9 +81,9 @@ func TestScheduleScratchLowAllocKnapsackPath(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := NewScratch()
+			sc := &Scratch{}
 			run := func() {
-				if _, _, err := ScheduleScratchCtx(ctx, in, tc.opt, sc); err != nil {
+				if _, _, err := Schedule(ctx, in, tc.opt, sc); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -114,12 +114,12 @@ func TestScheduleScratchMatchesUnpooled(t *testing.T) {
 	// branch below covers that equivalence too.
 	algos := []Algorithm{LT2, MRT, Alg1, Alg3, Linear, Conv, Auto}
 	for _, algo := range algos {
-		sc := NewScratch() // shared across all instances of this algorithm
+		sc := &Scratch{} // shared across all instances of this algorithm
 		for rep := 0; rep < 2; rep++ {
 			for i, in := range instances {
 				opt := Options{Algorithm: algo, Eps: 0.25}
-				want, wantRep, wantErr := ScheduleCtx(ctx, in, opt)
-				got, gotRep, gotErr := ScheduleScratchCtx(ctx, in, opt, sc)
+				want, wantRep, wantErr := Schedule(ctx, in, opt, nil)
+				got, gotRep, gotErr := Schedule(ctx, in, opt, sc)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("%v/#%d: err mismatch: %v vs %v", algo, i, wantErr, gotErr)
 				}

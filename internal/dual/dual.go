@@ -22,13 +22,13 @@ import (
 
 // Algorithm is a c-dual approximate algorithm.
 //
-// Scratch contract (DESIGN.md §6): Search retains at most ONE accepted
+// Scratch contract (DESIGN.md §6): the search retains at most ONE accepted
 // schedule at any time — the latest successful Try — and never reads a
 // schedule from a probe it rejected. Implementations that reuse
 // buffers across probes (fptas.Dual, fast.Alg1/Alg3, mrt.Dual with
 // their Scratch fields) rely on exactly this: they build each attempt
 // in a spare buffer and swap it in only on success
-// (schedule.DoubleBuffer), so the schedule returned by Search may be
+// (schedule.DoubleBuffer), so the schedule returned by SearchCtx may be
 // owned by the algorithm's scratch and is valid until that scratch's
 // next use.
 type Algorithm interface {
@@ -54,12 +54,6 @@ type Report struct {
 // the dual algorithm (it must accept any d ≥ OPT).
 var ErrNoSchedule = errors.New("dual: algorithm rejected d ≥ OPT; dual guarantee violated")
 
-// Search runs the binary search without cancellation; it is
-// SearchCtx with a background context.
-func Search(algo Algorithm, omega moldable.Time, eps float64) (*schedule.Schedule, Report, error) {
-	return SearchCtx(context.Background(), algo, omega, eps)
-}
-
 // SearchCtx runs the binary search. omega must satisfy ω ≤ OPT ≤ 2ω.
 // The returned schedule has makespan ≤ (c+eps)·OPT. It is
 // SearchRangeCtx on the classical estimator interval [ω, 2ω].
@@ -84,8 +78,8 @@ func SearchCtx(ctx context.Context, algo Algorithm, omega moldable.Time, eps flo
 // below (eps/c)·lo, after which
 // makespan ≤ c·hi ≤ c·lo + eps·lo ≤ (c+eps)·OPT.
 func SearchRangeCtx(ctx context.Context, algo Algorithm, lo, hi moldable.Time, eps float64) (*schedule.Schedule, Report, error) {
-	if eps <= 0 {
-		return nil, Report{}, scherr.BadEps("dual", eps)
+	if err := scherr.CheckEps("dual", eps); err != nil {
+		return nil, Report{}, err
 	}
 	c := algo.Guarantee()
 	rep := Report{Omega: lo}
@@ -147,7 +141,7 @@ func probe(algo Algorithm, d moldable.Time) (*schedule.Schedule, bool) {
 	return s, ok
 }
 
-// Iterations returns the number of probes Search will use for the given
+// Iterations returns the number of probes SearchCtx will use for the given
 // eps and guarantee c: ⌈log2(c/eps)⌉ + 1. The Ceil is epsilon-guarded:
 // when c/eps is an exact power of two the float64 log lands a few ulps
 // high and an unguarded Ceil would budget a probe too many, making the

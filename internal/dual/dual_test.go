@@ -37,7 +37,7 @@ func TestSearchGuarantee(t *testing.T) {
 				// estimator: ω ≤ OPT ≤ 2ω; take the worst ω = OPT/2
 				omega := opt / 2
 				algo := &mockDual{opt: opt, c: c}
-				s, rep, err := Search(algo, omega, eps)
+				s, rep, err := SearchCtx(context.Background(), algo, omega, eps)
 				if err != nil {
 					t.Fatalf("c=%v eps=%v opt=%v: %v", c, eps, opt, err)
 				}
@@ -57,7 +57,7 @@ func TestSearchGuarantee(t *testing.T) {
 func TestSearchNeverProbesBelowOmega(t *testing.T) {
 	algo := &mockDual{opt: 12, c: 1.5}
 	omega := moldable.Time(8)
-	if _, _, err := Search(algo, omega, 0.1); err != nil {
+	if _, _, err := SearchCtx(context.Background(), algo, omega, 0.1); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range algo.tries {
@@ -70,7 +70,7 @@ func TestSearchNeverProbesBelowOmega(t *testing.T) {
 // TestSearchDetectsBrokenDual: rejecting d = 2ω ≥ OPT must error.
 func TestSearchDetectsBrokenDual(t *testing.T) {
 	algo := &mockDual{opt: 100, c: 1.5} // opt > 2ω: estimator contract broken
-	if _, _, err := Search(algo, 10, 0.1); err == nil {
+	if _, _, err := SearchCtx(context.Background(), algo, 10, 0.1); err == nil {
 		t.Error("expected ErrNoSchedule for a dual that rejects 2ω")
 	}
 }
@@ -85,17 +85,19 @@ func (lyingDual) Try(d moldable.Time) (*schedule.Schedule, bool) {
 }
 
 func TestSearchDetectsGuaranteeViolation(t *testing.T) {
-	if _, _, err := Search(lyingDual{}, 5, 0.1); err == nil {
+	if _, _, err := SearchCtx(context.Background(), lyingDual{}, 5, 0.1); err == nil {
 		t.Error("expected error for makespan > c·d")
 	}
 }
 
 func TestSearchRejectsBadInputs(t *testing.T) {
 	algo := &mockDual{opt: 1, c: 1}
-	if _, _, err := Search(algo, 1, 0); err == nil {
-		t.Error("eps=0 accepted")
+	for _, eps := range []float64{0, math.NaN()} {
+		if _, _, err := SearchCtx(context.Background(), algo, 1, eps); !errors.Is(err, scherr.ErrBadEps) {
+			t.Errorf("eps=%v: %v, want ErrBadEps", eps, err)
+		}
 	}
-	if _, _, err := Search(algo, 0, 0.1); err == nil {
+	if _, _, err := SearchCtx(context.Background(), algo, 0, 0.1); err == nil {
 		t.Error("omega=0 accepted")
 	}
 }

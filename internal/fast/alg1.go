@@ -20,7 +20,6 @@ import (
 	"repro/internal/knapsack"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
-	"repro/internal/scherr"
 	"repro/internal/shelves"
 )
 
@@ -129,20 +128,11 @@ func tryCompressibleShelf1(in *moldable.Instance, d moldable.Time, rho float64,
 }
 
 // ScheduleAlg1 runs the complete (3/2+eps)-approximation around Alg1,
-// splitting eps between the dual factor and the binary-search slack.
-func ScheduleAlg1(in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleAlg1Ctx(context.Background(), in, eps)
-}
-
-// ScheduleAlg1Ctx is ScheduleAlg1 with cancellation, checked between
-// dual probes.
-func ScheduleAlg1Ctx(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleAlg1ScratchCtx(ctx, in, eps, nil)
-}
-
-func checkEps(eps float64) error {
-	if eps <= 0 || eps > 1 {
-		return scherr.BadEps("fast", eps)
-	}
-	return nil
+// splitting eps between the dual factor and the binary-search slack
+// and checking ctx between dual probes. Every buffer comes from sc; the
+// returned schedule is then owned by the scratch (valid until its next
+// use). A nil scratch uses fresh buffers.
+//sched:owns-result
+func ScheduleAlg1(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
+	return search(ctx, in, eps, sc, variantAlg1)
 }

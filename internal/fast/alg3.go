@@ -230,24 +230,16 @@ func (a *Alg3) Try(d moldable.Time) (*schedule.Schedule, bool) {
 }
 
 // ScheduleAlg3 runs the full (3/2+eps)-approximation around Alg3 (heap
-// transformation rules, §4.3).
-func ScheduleAlg3(in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleAlg3Ctx(context.Background(), in, eps)
+// transformation rules, §4.3); see ScheduleAlg1 for the context and
+// scratch contract.
+//sched:owns-result
+func ScheduleAlg3(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
+	return search(ctx, in, eps, sc, variantAlg3)
 }
 
-// ScheduleAlg3Ctx is ScheduleAlg3 with cancellation, checked between
-// dual probes.
-func ScheduleAlg3Ctx(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleAlg3ScratchCtx(ctx, in, eps, nil)
-}
-
-// ScheduleLinear runs the §4.3.3 linear-time variant (bucketed rules).
-func ScheduleLinear(in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleLinearCtx(context.Background(), in, eps)
-}
-
-// ScheduleLinearCtx is ScheduleLinear with cancellation, checked
-// between dual probes.
-func ScheduleLinearCtx(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleLinearScratchCtx(ctx, in, eps, nil)
+// ScheduleLinear runs the §4.3.3 linear-time variant (bucketed rules);
+// see ScheduleAlg1 for the context and scratch contract.
+//sched:owns-result
+func ScheduleLinear(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
+	return search(ctx, in, eps, sc, variantLinear)
 }

@@ -201,25 +201,13 @@ func (a *convWide) Try(d moldable.Time) (*schedule.Schedule, bool) {
 
 // ScheduleConv runs the complete (3/2+eps)-approximation around the
 // Conv duals, splitting eps between the dual factor and the search
-// slack.
-func ScheduleConv(in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleConvCtx(context.Background(), in, eps)
-}
-
-// ScheduleConvCtx is ScheduleConv with cancellation, checked between
-// dual probes.
-func ScheduleConvCtx(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleConvScratchCtx(ctx, in, eps, nil)
-}
-
-// ScheduleConvScratchCtx is ScheduleConvCtx drawing every buffer from
-// sc; see ScheduleAlg1ScratchCtx for the ownership contract. Instances
-// with m < ConvMinM are outside the algorithm's regime and yield an
-// error matching scherr.ErrRegime (use MRT or LT2 there — the online
-// runtime does exactly that).
+// slack; see ScheduleAlg1 for the context and scratch contract.
+// Instances with m < ConvMinM are outside the algorithm's regime and
+// yield an error matching scherr.ErrRegime (use MRT or LT2 there — the
+// online runtime does exactly that).
 //sched:owns-result
-func ScheduleConvScratchCtx(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
-	if err := checkEps(eps); err != nil {
+func ScheduleConv(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
+	if err := scherr.CheckEps("fast", eps); err != nil {
 		return nil, dual.Report{}, err
 	}
 	if in.M < ConvMinM {

@@ -1,6 +1,7 @@
 package fast
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -26,7 +27,7 @@ const goldenKnapsackDigest = "cab0a3d5f18649f1f5ec444d76027229b1d827d71bccbbfa69
 // where the knapsack dual, not the FPTAS, answers the probes — at
 // ε ∈ {0.5, 0.25, 0.1, 0.05}.
 func TestGoldenKnapsackSchedules(t *testing.T) {
-	type sched func(*moldable.Instance, float64) (*schedule.Schedule, dual.Report, error)
+	type sched func(context.Context, *moldable.Instance, float64, *Scratch) (*schedule.Schedule, dual.Report, error)
 	algos := []struct {
 		name string
 		run  sched
@@ -53,7 +54,7 @@ func TestGoldenKnapsackSchedules(t *testing.T) {
 			}
 			for _, eps := range []float64{0.5, 0.25, 0.1, 0.05} {
 				for _, a := range algos {
-					s, _, err := a.run(in, eps)
+					s, _, err := a.run(context.Background(), in, eps, nil)
 					if err != nil {
 						t.Fatalf("%s m=%d seed=%d eps=%v: %v", a.name, in.M, seed, eps, err)
 					}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/lt"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
+	"repro/internal/scherr"
 	"repro/internal/shelves"
 )
 
@@ -17,7 +18,7 @@ import (
 // estimator's buffers, the shelf and knapsack scratches shared by Alg1
 // and Alg3 (only one algorithm runs per call), Alg3's item-typing
 // buffers, and the reusable dual-algorithm structs handed to
-// dual.SearchCtx. A warm Scratch makes a whole ScheduleXScratchCtx run
+// dual.SearchCtx. A warm Scratch makes a whole ScheduleX run
 // allocation-free in the steady state (map-bucket reuse permitting);
 // the produced schedule is then owned by the scratch and valid until
 // its next use — Clone to keep it. The zero value is ready; a Scratch
@@ -63,76 +64,48 @@ type Scratch struct {
 	jobsByType []int32 // Opt jobs grouped by type
 }
 
-// dualFor picks the regime-appropriate dual algorithm out of the
-// scratch: the knapsack-based dual (mk) when m < 16n, and the FPTAS
-// dual with ε = 1/2 (a 3/2-dual) when m ≥ 16n, exactly as prescribed
-// at the end of §4.2.5 — the knapsack parameter bounds (βmax = m =
-// O(n)) need m = O(n), and for larger m the simple FPTAS is both valid
-// and faster. The chosen struct lives in the scratch, so the interface
-// conversion allocates nothing.
+// variant selects the knapsack-regime dual of search.
+type variant uint8
+
+const (
+	variantAlg1 variant = iota
+	variantAlg3
+	variantLinear
+)
+
+// search is the shared body of ScheduleAlg1, ScheduleAlg3 and
+// ScheduleLinear: the Ludwig–Tiwari estimate, then the dual search
+// with eps split evenly between the dual factor and the search slack.
+// The dual depends on the regime, exactly as prescribed at the end of
+// §4.2.5: the knapsack-based dual v when m < 16n, and the FPTAS dual
+// with ε = 1/2 (a 3/2-dual) when m ≥ 16n — the knapsack parameter
+// bounds (βmax = m = O(n)) need m = O(n), and for larger m the simple
+// FPTAS is both valid and faster. The chosen struct lives in the
+// scratch, so the interface conversion allocates nothing.
+//
+// Every buffer comes from sc; the returned schedule is then owned by
+// the scratch (valid until its next use). A nil scratch uses fresh
+// buffers.
 //sched:owns-result
-func (sc *Scratch) dualFor(in *moldable.Instance, mk func(sc *Scratch) dual.Algorithm) dual.Algorithm {
-	if in.M >= 16*in.N() {
+func search(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch, v variant) (*schedule.Schedule, dual.Report, error) {
+	if err := scherr.CheckEps("fast", eps); err != nil {
+		return nil, dual.Report{}, err
+	}
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	est := lt.EstimateScratch(in, &sc.LT)
+	var algo dual.Algorithm
+	switch {
+	case in.M >= 16*in.N():
 		sc.fp = fptas.Dual{In: in, Eps: 0.5, Scratch: &sc.fpSched}
-		return &sc.fp
+		algo = &sc.fp
+	case v == variantAlg1:
+		sc.a1 = Alg1{In: in, Eps: eps / 2, Scratch: sc}
+		algo = &sc.a1
+	default:
+		sc.a3 = Alg3{In: in, Eps: eps / 2, Buckets: v == variantLinear, Scratch: sc}
+		algo = &sc.a3
 	}
-	return mk(sc)
-}
-
-//sched:owns-result
-func mkAlg1(sc *Scratch) dual.Algorithm {
-	sc.a1.Scratch = sc
-	return &sc.a1
-}
-
-//sched:owns-result
-func mkAlg3(sc *Scratch) dual.Algorithm {
-	sc.a3.Scratch = sc
-	return &sc.a3
-}
-
-// ScheduleAlg1ScratchCtx is ScheduleAlg1Ctx drawing every buffer from
-// sc; the returned schedule is owned by the scratch (valid until its
-// next use). A nil scratch uses fresh buffers.
-//sched:owns-result
-func ScheduleAlg1ScratchCtx(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
-	if err := checkEps(eps); err != nil {
-		return nil, dual.Report{}, err
-	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	est := lt.EstimateScratch(in, &sc.LT)
-	sc.a1 = Alg1{In: in, Eps: eps / 2}
-	return dual.SearchCtx(ctx, sc.dualFor(in, mkAlg1), est.Omega, eps/2)
-}
-
-// ScheduleAlg3ScratchCtx is ScheduleAlg3Ctx drawing every buffer from
-// sc; see ScheduleAlg1ScratchCtx for the ownership contract.
-//sched:owns-result
-func ScheduleAlg3ScratchCtx(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
-	if err := checkEps(eps); err != nil {
-		return nil, dual.Report{}, err
-	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	est := lt.EstimateScratch(in, &sc.LT)
-	sc.a3 = Alg3{In: in, Eps: eps / 2}
-	return dual.SearchCtx(ctx, sc.dualFor(in, mkAlg3), est.Omega, eps/2)
-}
-
-// ScheduleLinearScratchCtx is ScheduleLinearCtx drawing every buffer
-// from sc; see ScheduleAlg1ScratchCtx for the ownership contract.
-//sched:owns-result
-func ScheduleLinearScratchCtx(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
-	if err := checkEps(eps); err != nil {
-		return nil, dual.Report{}, err
-	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	est := lt.EstimateScratch(in, &sc.LT)
-	sc.a3 = Alg3{In: in, Eps: eps / 2, Buckets: true}
-	return dual.SearchCtx(ctx, sc.dualFor(in, mkAlg3), est.Omega, eps/2)
+	return dual.SearchCtx(ctx, algo, est.Omega, eps/2)
 }

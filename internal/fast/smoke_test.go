@@ -17,15 +17,16 @@ func TestSmokePlanted(t *testing.T) {
 		pl := moldable.Planted(moldable.PlantedConfig{M: 64, D: 100, Seed: seed, MaxJobs: 30})
 		in := pl.Instance
 		eps := 0.25
+		ctx := context.Background()
 		type algo struct {
 			name string
 			run  func() (*schedule.Schedule, error)
 		}
 		algos := []algo{
-			{"mrt", func() (*schedule.Schedule, error) { s, _, err := mrt.Schedule(in, eps); return s, err }},
-			{"alg1", func() (*schedule.Schedule, error) { s, _, err := ScheduleAlg1(in, eps); return s, err }},
-			{"alg3", func() (*schedule.Schedule, error) { s, _, err := ScheduleAlg3(in, eps); return s, err }},
-			{"linear", func() (*schedule.Schedule, error) { s, _, err := ScheduleLinear(in, eps); return s, err }},
+			{"mrt", func() (*schedule.Schedule, error) { s, _, err := mrt.Schedule(ctx, in, eps, nil); return s, err }},
+			{"alg1", func() (*schedule.Schedule, error) { s, _, err := ScheduleAlg1(ctx, in, eps, nil); return s, err }},
+			{"alg3", func() (*schedule.Schedule, error) { s, _, err := ScheduleAlg3(ctx, in, eps, nil); return s, err }},
+			{"linear", func() (*schedule.Schedule, error) { s, _, err := ScheduleLinear(ctx, in, eps, nil); return s, err }},
 		}
 		for _, a := range algos {
 			s, err := a.run()
@@ -59,7 +60,7 @@ func TestSmallEpsAllocBound(t *testing.T) {
 	var before, after runtime.MemStats
 	var sc Scratch
 	runtime.ReadMemStats(&before)
-	s, _, err := ScheduleLinearScratchCtx(context.Background(), in, eps, &sc)
+	s, _, err := ScheduleLinear(context.Background(), in, eps, &sc)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -102,27 +102,19 @@ func MinM(n int, eps float64) int {
 // the search slack, for a true (1+eps)-approximation. It returns an
 // error matching scherr.ErrRegime when m < 16n/eps (use the (3/2+ε)
 // algorithms in that regime; see §3.2 and DESIGN.md §3 on the
-// Jansen–Thöle substitution).
-func Schedule(in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleCtx(context.Background(), in, eps)
-}
-
-// ScheduleCtx is Schedule with cancellation, checked between dual
+// Jansen–Thöle substitution). Cancellation is checked between dual
 // probes; a canceled context yields an error matching
 // scherr.ErrCanceled.
-func ScheduleCtx(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleScratchCtx(ctx, in, eps, nil)
-}
-
-// ScheduleScratchCtx is ScheduleCtx with caller-supplied scratch: a
-// warm Scratch makes the whole run (estimation + every dual probe)
-// allocation-free. The returned schedule is then owned by the scratch
-// — valid until its next use; Clone to keep it. A nil scratch uses
-// fresh buffers, making the result caller-owned as before.
+//
+// Every buffer comes from sc: a warm Scratch makes the whole run
+// (estimation + every dual probe) allocation-free, and the returned
+// schedule is then owned by the scratch — valid until its next use;
+// Clone to keep it. A nil scratch uses fresh buffers, making the result
+// caller-owned.
 //sched:owns-result
-func ScheduleScratchCtx(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
-	if eps <= 0 || eps > 1 {
-		return nil, dual.Report{}, scherr.BadEps("fptas", eps)
+func Schedule(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
+	if err := scherr.CheckEps("fptas", eps); err != nil {
+		return nil, dual.Report{}, err
 	}
 	half := eps / 2
 	if !Applicable(in.N(), in.M, half) {

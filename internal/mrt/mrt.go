@@ -92,24 +92,14 @@ func (a *Dual) Try(d moldable.Time) (*schedule.Schedule, bool) {
 }
 
 // Schedule runs the full (3/2+eps)-approximation: Ludwig–Tiwari
-// estimation plus the dual binary search with slack eps.
-func Schedule(in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleCtx(context.Background(), in, eps)
-}
-
-// ScheduleCtx is Schedule with cancellation, checked between dual
-// probes.
-func ScheduleCtx(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleScratchCtx(ctx, in, eps, nil)
-}
-
-// ScheduleScratchCtx is ScheduleCtx drawing every buffer from sc; the
-// returned schedule is then owned by the scratch (valid until its next
-// use). A nil scratch uses fresh buffers.
+// estimation plus the dual binary search with slack eps, checking ctx
+// between dual probes. Every buffer comes from sc; the returned
+// schedule is then owned by the scratch (valid until its next use). A
+// nil scratch uses fresh buffers.
 //sched:owns-result
-func ScheduleScratchCtx(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
-	if eps <= 0 || eps > 1 {
-		return nil, dual.Report{}, scherr.BadEps("mrt", eps)
+func Schedule(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
+	if err := scherr.CheckEps("mrt", eps); err != nil {
+		return nil, dual.Report{}, err
 	}
 	if sc == nil {
 		sc = &Scratch{}

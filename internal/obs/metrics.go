@@ -24,7 +24,7 @@ var CodeLabels = []string{"bad_request", "unknown_ticket", "overloaded", "unavai
 
 // Scheduling core (internal/core, internal/dual).
 var (
-	SchedCalls        = Default.Counter("sched_calls_total", "scheduling decisions attempted (core.ScheduleScratchCtx entries)")
+	SchedCalls        = Default.Counter("sched_calls_total", "scheduling decisions attempted (core.Schedule entries)")
 	SchedErrors       = Default.Counter("sched_errors_total", "scheduling decisions that returned an error")
 	SchedLatency      = Default.Histogram("sched_latency_ns", "end-to-end scheduling decision latency, nanoseconds")
 	SchedAlgo         = Default.CounterVec("sched_algo_total", "algo", "scheduling decisions by resolved algorithm/regime", AlgoLabels)

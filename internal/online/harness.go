@@ -89,11 +89,11 @@ func Compare(ctx context.Context, cfg Config, trace []Arrival) (Outcome, error) 
 	if eps == 0 {
 		eps = 0.1
 	}
-	s, rep, err := core.ScheduleCtx(ctx, in, core.Options{Algorithm: core.Auto, Eps: eps})
+	s, rep, err := core.Schedule(ctx, in, core.Options{Algorithm: core.Auto, Eps: eps}, nil)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("online: clairvoyant reference: %w", err)
 	}
-	out := Outcome{Online: met, Offline: *rep}
+	out := Outcome{Online: met, Offline: rep}
 	if rep.Makespan > 0 {
 		out.MakespanRatio = float64(met.Makespan / rep.Makespan)
 	}

@@ -5,7 +5,7 @@
 // online accepts a stream of timestamped job arrivals and must commit
 // processors before it has seen the future. The runtime accumulates
 // arrivals into epochs, replans each epoch's pending set with the
-// existing zero-alloc core.ScheduleScratchCtx oracle, and dispatches the
+// existing zero-alloc core.Schedule oracle, and dispatches the
 // plan work-conservingly onto an m-processor machine state (the
 // sim.Machine event core): a planned job starts as soon as its
 // processors are free, in planned start order.

@@ -346,6 +346,28 @@ func TestReplanZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestBadEpsRejected: every ε outside (0,1] — NaN and the infinities
+// included, which a negated range test `eps <= 0 || eps > 1` lets
+// through as NaN — is refused with ErrBadEps by core.Schedule for
+// every algorithm, by core.PTAS, and by online.New.
+func TestBadEpsRejected(t *testing.T) {
+	ctx := context.Background()
+	in := moldable.Random(moldable.GenConfig{N: 16, M: 64, Seed: 1})
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1 + 1e-9} {
+		for _, a := range core.Algorithms() {
+			if _, _, err := core.Schedule(ctx, in, core.Options{Algorithm: a, Eps: eps}, nil); !errors.Is(err, scherr.ErrBadEps) {
+				t.Errorf("core.Schedule(%v, eps=%v) = %v, want ErrBadEps", a, eps, err)
+			}
+		}
+		if _, _, err := core.PTAS(ctx, in, eps); !errors.Is(err, scherr.ErrBadEps) {
+			t.Errorf("core.PTAS(eps=%v) = %v, want ErrBadEps", eps, err)
+		}
+		if _, err := New(Config{M: 64, Eps: eps}); !errors.Is(err, scherr.ErrBadEps) {
+			t.Errorf("online.New(eps=%v) = %v, want ErrBadEps", eps, err)
+		}
+	}
+}
+
 // TestStreamErrors covers the runtime's refusal paths.
 func TestStreamErrors(t *testing.T) {
 	ctx := context.Background()

@@ -87,8 +87,8 @@ func New(cfg Config) (Runtime, error) {
 	if cfg.M < 1 {
 		return nil, fmt.Errorf("online: m=%d must be ≥ 1", cfg.M)
 	}
-	if cfg.Eps < 0 || cfg.Eps > 1 {
-		return nil, scherr.BadEps("online", cfg.Eps)
+	if err := scherr.CheckEps("online", cfg.Eps); err != nil {
+		return nil, err
 	}
 	if cfg.EpochGrow < 1 {
 		return nil, fmt.Errorf("online: epoch growth %g must be ≥ 1", cfg.EpochGrow)
@@ -308,7 +308,7 @@ func (rt *runtime) advance(t moldable.Time) error {
 // the previous plan is folded back into the pending set, the whole set
 // is planned from scratch on the full machine, and the dispatch queue
 // is rebuilt in planned start order. Moldable policies plan with
-// core.ScheduleScratchCtx on the pooled scratch (allocation-free once
+// core.Schedule on the pooled scratch (allocation-free once
 // warm); Greedy list-schedules the rigid allotments fixed at arrival.
 func (rt *runtime) replan(t moldable.Time) error {
 	for i := 0; i < rt.plan.Len(); i++ {
@@ -341,7 +341,7 @@ func (rt *runtime) replan(t moldable.Time) error {
 		placements = s.Placements
 		algo = "greedy"
 	} else {
-		s, rep, err := core.ScheduleScratchCtx(rt.ctx, &rt.pi,
+		s, rep, err := core.Schedule(rt.ctx, &rt.pi,
 			core.Options{Algorithm: rt.cfg.Algorithm, Eps: rt.cfg.Eps}, &rt.sc)
 		if err != nil && errors.Is(err, scherr.ErrRegime) {
 			// The pinned algorithm's regime (m ≥ 16n/ε for the FPTAS)
@@ -352,10 +352,10 @@ func (rt *runtime) replan(t moldable.Time) error {
 			// bound — then LT2, which cannot fail, and surface the
 			// substitution on the replan event.
 			fallback = true
-			s, rep, err = core.ScheduleScratchCtx(rt.ctx, &rt.pi,
+			s, rep, err = core.Schedule(rt.ctx, &rt.pi,
 				core.Options{Algorithm: core.MRT, Eps: rt.cfg.Eps}, &rt.sc)
 			if err != nil && !errors.Is(err, scherr.ErrCanceled) {
-				s, rep, err = core.ScheduleScratchCtx(rt.ctx, &rt.pi,
+				s, rep, err = core.Schedule(rt.ctx, &rt.pi,
 					core.Options{Algorithm: core.LT2, Eps: rt.cfg.Eps}, &rt.sc)
 			}
 		}

@@ -1,86 +1,6 @@
 package parallel
 
-import (
-	"errors"
-	"runtime"
-	"sync/atomic"
-	"testing"
-)
-
-func TestForEachCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100, 1000} {
-		for _, w := range []int{0, 1, 3, 64} {
-			visited := make([]int32, n)
-			ForEach(n, w, func(i int) { atomic.AddInt32(&visited[i], 1) })
-			for i, v := range visited {
-				if v != 1 {
-					t.Fatalf("n=%d w=%d: index %d visited %d times", n, w, i, v)
-				}
-			}
-		}
-	}
-}
-
-func TestForEachParallelism(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("single-CPU environment")
-	}
-	var peak, cur atomic.Int32
-	gate := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		ForEach(8, 4, func(i int) {
-			c := cur.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
-				}
-			}
-			<-gate
-			cur.Add(-1)
-		})
-		close(done)
-	}()
-	// let workers pile up at the gate, then release
-	for peak.Load() < 2 {
-		runtime.Gosched()
-	}
-	close(gate)
-	<-done
-	if peak.Load() < 2 {
-		t.Errorf("no concurrency observed (peak %d)", peak.Load())
-	}
-}
-
-func TestMap(t *testing.T) {
-	got := Map(5, 2, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("Map[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestErrorsFirstByIndex(t *testing.T) {
-	e2 := errors.New("two")
-	e4 := errors.New("four")
-	err := Errors(6, 3, func(i int) error {
-		switch i {
-		case 2:
-			return e2
-		case 4:
-			return e4
-		}
-		return nil
-	})
-	if err != e2 {
-		t.Errorf("got %v, want the lowest-index error", err)
-	}
-	if err := Errors(4, 2, func(int) error { return nil }); err != nil {
-		t.Errorf("unexpected error %v", err)
-	}
-}
+import "testing"
 
 func TestWorkers(t *testing.T) {
 	if Workers(3) != 3 {

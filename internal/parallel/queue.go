@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -12,10 +11,7 @@ import (
 // worker, in submission order. internal/service keys by canonical
 // instance hash, which turns concurrent duplicate submissions into a
 // compute-then-cache-hit sequence instead of a stampede, and keeps a
-// memoized instance's oracle cache on one worker's timeline. Unlike
-// ForEach, a Pool outlives any one batch: it is the substrate for
-// long-running services that interleave asynchronous submissions with
-// synchronous batches.
+// memoized instance's oracle cache on one worker's timeline.
 //
 // Submit blocks when the target shard's queue is full (backpressure).
 // Tasks must not Submit to the pool they run on — with every worker
@@ -27,12 +23,10 @@ type Pool struct {
 	// In-flight accounting uses a condition variable, not a WaitGroup:
 	// Submit and Drain may race from different goroutines with the
 	// counter passing through zero, which WaitGroup forbids.
-	mu        sync.Mutex
-	cond      sync.Cond
-	inflight  int64 //sched:guardedby mu
-	submitted atomic.Int64
-	completed atomic.Int64
-	closed    atomic.Bool
+	mu       sync.Mutex
+	cond     sync.Cond
+	inflight int64 //sched:guardedby mu
+	closed   atomic.Bool
 }
 
 // queueCap bounds each shard's queue; beyond it Submit blocks.
@@ -63,24 +57,14 @@ func NewPool(workers int) *Pool {
 // queue is full. fn runs on the shard's worker; Submit does not wait
 // for it. Submit must not be called concurrently with or after Close.
 func (p *Pool) Submit(key uint64, fn func()) {
-	p.submitCtx(nil, key, fn)
-}
-
-// submitCtx is Submit with an optional cancellation channel: when the
-// target shard's queue is full and done fires before space frees up,
-// the task is withdrawn (accounting rolled back) and submitCtx reports
-// false. A nil done blocks indefinitely, exactly like Submit.
-func (p *Pool) submitCtx(done <-chan struct{}, key uint64, fn func()) bool {
 	if p.closed.Load() {
 		panic("parallel: Submit on closed Pool")
 	}
-	p.submitted.Add(1)
 	p.mu.Lock()
 	p.inflight++
 	p.mu.Unlock()
-	task := func() {
+	p.shards[p.shard(key)] <- func() {
 		defer func() {
-			p.completed.Add(1)
 			p.mu.Lock()
 			p.inflight--
 			if p.inflight == 0 {
@@ -89,24 +73,6 @@ func (p *Pool) submitCtx(done <-chan struct{}, key uint64, fn func()) bool {
 			p.mu.Unlock()
 		}()
 		fn()
-	}
-	shard := p.shards[p.shard(key)]
-	if done == nil {
-		shard <- task
-		return true
-	}
-	select {
-	case shard <- task:
-		return true
-	case <-done:
-		p.submitted.Add(-1)
-		p.mu.Lock()
-		p.inflight--
-		if p.inflight == 0 {
-			p.cond.Broadcast()
-		}
-		p.mu.Unlock()
-		return false
 	}
 }
 
@@ -134,68 +100,6 @@ func (p *Pool) Drain() {
 		p.cond.Wait()
 	}
 	p.mu.Unlock()
-}
-
-// Batch runs fn(i) for i in [0, n) on the pool, routing each index by
-// key(i) (nil keys route by index), and returns when every started call
-// has completed. Concurrent batches on one pool interleave safely:
-// Batch waits only on its own tasks, not on Drain.
-//
-// The context governs the batch: once it is canceled, no further
-// indices are submitted (a submission blocked on a full queue is
-// withdrawn), already-queued-but-unstarted tasks are abandoned without
-// calling fn, and Batch returns ctx.Err() after the tasks that did
-// start have finished — so fn is never running after Batch returns and
-// no goroutines are leaked. Indices whose fn never ran are simply
-// skipped; callers that need per-index outcomes should record them in
-// fn. A nil ctx means no cancellation (context.Background()).
-func (p *Pool) Batch(ctx context.Context, n int, key func(i int) uint64, fn func(i int)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	var skipped atomic.Bool
-	var err error
-	for i := 0; i < n; i++ {
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-			break
-		}
-		k := uint64(i)
-		if key != nil {
-			k = key(i)
-		}
-		wg.Add(1)
-		ok := p.submitCtx(done, k, func() {
-			defer wg.Done()
-			if ctx.Err() != nil {
-				// Abandoned: canceled before this task started.
-				skipped.Store(true)
-				return
-			}
-			fn(i)
-		})
-		if !ok {
-			wg.Done()
-			err = ctx.Err()
-			break
-		}
-	}
-	wg.Wait()
-	if err == nil && skipped.Load() {
-		// The submit loop finished before the cancel landed, but queued
-		// tasks were then abandoned by the wrapper above: report the
-		// cancellation. A cancel that arrives after every fn already ran
-		// is NOT an error — the batch completed.
-		err = ctx.Err()
-	}
-	return err
-}
-
-// Stats returns the cumulative submitted and completed task counts.
-func (p *Pool) Stats() (submitted, completed int64) {
-	return p.submitted.Load(), p.completed.Load()
 }
 
 // Close waits for in-flight tasks and stops the workers. Submitting

@@ -57,7 +57,7 @@ func (s *Schedule) Reset(m int) {
 
 // DoubleBuffer hands out reusable schedules with a swap-on-commit
 // protocol, for dual algorithms whose Try must not clobber the last
-// accepted schedule while probing a new target: dual.Search retains at
+// accepted schedule while probing a new target: dual.SearchCtx retains at
 // most one successful schedule at a time, so two buffers suffice.
 // Spare always returns the buffer NOT currently retained; a failed
 // probe simply abandons it, while a successful probe calls Commit,

@@ -1,8 +1,8 @@
 // Package scherr is the error taxonomy of the scheduling stack: a small
 // set of sentinel errors that every layer (moldable validation, the
-// algorithm cores, the batch entry points, the service, and the
-// moldschedd wire protocol) agrees on, so callers can branch with
-// errors.Is/errors.As instead of matching strings.
+// algorithm cores, the service, and the moldschedd wire protocol)
+// agrees on, so callers can branch with errors.Is/errors.As instead of
+// matching strings.
 //
 // The sentinels:
 //
@@ -68,9 +68,24 @@ func Regime(algorithm string, n, m int, eps float64, minM int) error {
 	return &RegimeError{Algorithm: algorithm, N: n, M: m, Eps: eps, MinM: minM}
 }
 
+// badEpsFormat formats an ErrBadEps error: package, value, sentinel.
+const badEpsFormat = "%s: eps=%v: %w"
+
 // BadEps builds an ErrBadEps-matching error naming the offending value.
 func BadEps(pkg string, eps float64) error {
-	return fmt.Errorf("%s: eps=%v: %w", pkg, eps, ErrBadEps)
+	return fmt.Errorf(badEpsFormat, pkg, eps, ErrBadEps)
+}
+
+// CheckEps returns BadEps(pkg, eps) unless eps ∈ (0,1]. The test is
+// written so that NaN fails it: every comparison with NaN is false, so
+// the negated form `eps <= 0 || eps > 1` would let NaN through. It
+// formats the error itself rather than calling BadEps so that it stays
+// within the inlining budget: the hot entry points inline it.
+func CheckEps(pkg string, eps float64) error {
+	if eps > 0 && eps <= 1 {
+		return nil
+	}
+	return fmt.Errorf(badEpsFormat, pkg, eps, ErrBadEps)
 }
 
 // canceledError matches ErrCanceled and unwraps to the context cause,

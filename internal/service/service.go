@@ -262,16 +262,16 @@ func (s *Scheduler) run(ctx context.Context, id uint64, t *task, in *moldable.In
 	worker := s.pool.ShardOf(key)
 	sc := s.scratch[worker]
 	if sc == nil {
-		sc = core.NewScratch()
+		sc = &core.Scratch{}
 		s.scratch[worker] = sc
 	}
-	sched, rep, err := core.ScheduleScratchCtx(ctx, exec, opt, sc)
+	sched, rep, err := core.Schedule(ctx, exec, opt, sc)
 	if looseStats != nil {
 		h, m := looseStats()
 		s.looseHits.Add(h)
 		s.looseMisses.Add(m)
 	}
-	// Like core.ScheduleCtx, the report is attached unconditionally:
+	// Like core.Schedule, the report is attached unconditionally:
 	// zero-valued for precondition failures, populated as far as the
 	// call got otherwise. Success is signalled by Err alone.
 	repp := new(core.Report)
@@ -430,9 +430,8 @@ func (s *Scheduler) collect(ctx context.Context, id uint64) Result {
 	return r
 }
 
-// DoBatch submits every instance and waits for all results, in order.
-// It is the service-grade sibling of core.ScheduleMany: same fan-out,
-// plus dedup, result caching, and shared oracle memos.
+// DoBatch submits every instance and waits for all results, in order,
+// with dedup, result caching, and shared oracle memos.
 func (s *Scheduler) DoBatch(ins []*moldable.Instance, opt core.Options) []Result {
 	return s.DoBatchCtx(context.Background(), ins, opt)
 }

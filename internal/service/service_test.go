@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ func testInstance(seed uint64) *moldable.Instance {
 func TestDoMatchesCore(t *testing.T) {
 	in := testInstance(1)
 	opt := core.Options{Algorithm: core.Linear, Eps: 0.25}
-	want, _, err := core.Schedule(in, opt)
+	want, _, err := core.Schedule(context.Background(), in, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestDoBatchOrder(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("instance %d: %v", i, r.Err)
 		}
-		want, _, _ := core.Schedule(ins[i], core.Options{Algorithm: core.Linear, Eps: 0.25})
+		want, _, _ := core.Schedule(context.Background(), ins[i], core.Options{Algorithm: core.Linear, Eps: 0.25}, nil)
 		if r.Schedule.Makespan() != want.Makespan() {
 			t.Fatalf("instance %d: makespan %v, want %v", i, r.Schedule.Makespan(), want.Makespan())
 		}

@@ -28,16 +28,16 @@ func benchObsOverhead(b *testing.B, enabled bool) {
 	prev := obs.SetEnabled(enabled)
 	defer obs.SetEnabled(prev)
 	in := moldable.Random(moldable.GenConfig{N: 256, M: 4096, Seed: 42})
-	sc := core.NewScratch()
+	sc := &core.Scratch{}
 	ctx := obs.WithTraceID(context.Background(), "bench")
 	opt := core.Options{Algorithm: core.Linear, Eps: 0.25}
-	if _, _, err := core.ScheduleScratchCtx(ctx, in, opt, sc); err != nil {
+	if _, _, err := core.Schedule(ctx, in, opt, sc); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.ScheduleScratchCtx(ctx, in, opt, sc); err != nil {
+		if _, _, err := core.Schedule(ctx, in, opt, sc); err != nil {
 			b.Fatal(err)
 		}
 	}
